@@ -1,41 +1,21 @@
-"""E9 — Ablation of the §III-B serialisation rule, plus the wire-codec A/B.
+"""E9 — Ablation of the §III-B serialisation rule.
 
 The paper requires that a block contains at most one update transaction per
 shared table, and that further operations wait until every sharing peer holds
 the newest data.  This ablation disables the miner-side rule and counts how
 many conflicting updates would land in the same block — i.e. how many
 consistency hazards the rule prevents — and shows the latency cost it adds.
-
-The second ablation (E9b) A/Bs the runtime boundary's two wire codecs over
-real system payloads — every block and transaction a paper-scenario run
-gossips, plus the WAL entries a durable database writes — and gates that the
-deterministic binary TLV encoding is strictly smaller than canonical JSON
-(wire and on-disk WAL) at a bounded round-trip time overhead, with decoded
-values exactly matching the canonical-JSON value model.
 """
 
 from __future__ import annotations
-
-import json
-import tempfile
-import time
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.scenario import DOCTOR_RESEARCHER_TABLE, build_paper_scenario
-from repro.crypto.hashing import canonical_json
 from repro.metrics.reporting import format_table
-from repro.relational.durability import JsonlWalBackend
-from repro.relational.wal import WalEntry
-from repro.runtime import get_codec
 
 BLOCK_INTERVAL = 2.0
-
-#: E9b gates: binary must be strictly smaller on the wire and in the WAL,
-#: and its encode+decode round trip must stay within this factor of the
-#: C-accelerated json module's.
-MAX_ROUNDTRIP_OVERHEAD = 5.0
 
 
 def _submit_conflicting_requests(system, count: int):
@@ -126,95 +106,3 @@ def test_serialization_summary(benchmark, emit):
     enforced, disabled = rows
     assert enforced[4] == 0          # no same-block conflicts with the rule
     assert disabled[2] < enforced[2]  # fewer blocks (lower latency) without it
-
-
-# --------------------------------------------------------------------------
-# E9b — JSON vs binary wire codec over real system payloads
-
-
-def _wire_corpus() -> list:
-    """Every block and transaction a paper-scenario run actually gossips."""
-    system = build_paper_scenario(SystemConfig.private_chain(BLOCK_INTERVAL))
-    chain = system.server_app("doctor").node.chain
-    corpus = [tx.to_dict() for block in chain.blocks for tx in block.transactions]
-    corpus += [block.to_dict() for block in chain.blocks]
-    # Normalise into the codecs' shared value model (tuples → lists, …) so
-    # the fidelity check compares like with like.
-    return json.loads(canonical_json(corpus))
-
-
-def _wal_entries(corpus: list) -> list:
-    return [WalEntry(sequence=index + 1, operation="response",
-                     table="responses", payload=payload)
-            for index, payload in enumerate(corpus)
-            if isinstance(payload, dict)]
-
-
-def _time_roundtrip(codec, corpus: list, repeats: int) -> float:
-    blobs = [codec.encode(payload) for payload in corpus]
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for payload in corpus:
-            codec.encode(payload)
-        for blob in blobs:
-            codec.decode(blob)
-    return time.perf_counter() - start
-
-
-def _wal_bytes(entries: list, codec_name: str) -> int:
-    with tempfile.TemporaryDirectory(prefix=f"e9b-{codec_name}-") as wal_dir:
-        backend = JsonlWalBackend(wal_dir, codec=codec_name)
-        for entry in entries:
-            backend.append(entry)
-        backend.sync()
-        total = sum(path.stat().st_size for path in backend.segment_paths())
-        backend.close()
-        return total
-
-
-def test_wire_codec_ablation(emit, quick):
-    """The binary codec must beat canonical JSON on size — wire payloads and
-    WAL segments — at a bounded round-trip overhead, decoding every payload
-    back to exactly the canonical value model."""
-    corpus = _wire_corpus()
-    assert corpus, "paper scenario produced no gossiped payloads"
-    json_codec = get_codec("canonical-json")
-    binary_codec = get_codec("binary")
-
-    fidelity_ok = all(
-        binary_codec.decode(binary_codec.encode(payload)) == payload
-        and json_codec.decode(json_codec.encode(payload)) == payload
-        for payload in corpus)
-
-    json_bytes = sum(len(json_codec.encode(payload)) for payload in corpus)
-    binary_bytes = sum(len(binary_codec.encode(payload)) for payload in corpus)
-    size_ratio = binary_bytes / json_bytes
-
-    repeats = 20 if quick else 100
-    json_seconds = _time_roundtrip(json_codec, corpus, repeats)
-    binary_seconds = _time_roundtrip(binary_codec, corpus, repeats)
-    roundtrip_overhead = binary_seconds / json_seconds
-
-    entries = _wal_entries(corpus)
-    wal_json = _wal_bytes(entries, "canonical-json")
-    wal_binary = _wal_bytes(entries, "binary")
-
-    emit("E9b_wire_codec", format_table(
-        ("metric", "canonical-json", "binary"),
-        [("wire bytes (corpus)", json_bytes, binary_bytes),
-         ("size ratio (binary/json)", "", f"{size_ratio:.3f}"),
-         ("round-trip seconds", f"{json_seconds:.4f}", f"{binary_seconds:.4f}"),
-         ("round-trip overhead", "1.00x", f"{roundtrip_overhead:.2f}x"),
-         ("WAL bytes (same entries)", wal_json, wal_binary),
-         ("payloads", len(corpus), len(corpus)),
-         ("round-trip fidelity", fidelity_ok, fidelity_ok)],
-        title="Wire codec A/B over gossiped blocks + transactions"))
-
-    assert fidelity_ok, "a codec round trip changed a payload"
-    assert binary_bytes < json_bytes, (
-        f"binary wire encoding is not smaller: {binary_bytes} >= {json_bytes}")
-    assert wal_binary < wal_json, (
-        f"binary WAL segments are not smaller: {wal_binary} >= {wal_json}")
-    assert roundtrip_overhead <= MAX_ROUNDTRIP_OVERHEAD, (
-        f"binary round trip is {roundtrip_overhead:.2f}x canonical JSON "
-        f"(> {MAX_ROUNDTRIP_OVERHEAD}x): the pure-Python codec drifted")

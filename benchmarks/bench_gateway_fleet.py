@@ -44,7 +44,6 @@ INTERVAL = 1.0
 BATCH_SIZE = 8
 SEED = 23
 MIN_SPEEDUP = 2.0
-WIRE_CODEC = "binary"
 
 
 def _fleet(processes: int, duration: float, mode: str,
@@ -52,7 +51,7 @@ def _fleet(processes: int, duration: float, mode: str,
     return run_gateway_fleet(
         processes=processes, tenants=TENANTS, duration=duration, rate=RATE,
         interval=INTERVAL, batch_size=BATCH_SIZE, seed=SEED, mode=mode,
-        wire_codec=WIRE_CODEC, include_fingerprints=include_fingerprints)
+        include_fingerprints=include_fingerprints)
 
 
 def _worker_fingerprints(fleet_result: dict) -> dict:
@@ -109,7 +108,7 @@ def run_fleet_scaling(duration: float) -> dict:
     return {
         "experiment": "E19_gateway_fleet",
         "workload": (f"{TENANTS} tenants × {duration}s sim @ rate {RATE}, "
-                     f"interval {INTERVAL}s, wire codec {WIRE_CODEC}"),
+                     f"interval {INTERVAL}s"),
         "single_process": _summary(single),
         "fleet_4": _summary(fleet),
         "loopback_1": _summary(loop_single),

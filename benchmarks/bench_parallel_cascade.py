@@ -5,10 +5,9 @@ dependent views pays 2·N consensus rounds (one request round and one
 acknowledgement round per leg), even when the legs target independent
 shared tables on independent consensus lanes.  The parallel cascade path
 (``SystemConfig.parallel_cascades``) commits all legs of one cascade
-through *shared* request/ack rounds and runs their ledger-free middles on
-executor threads grouped by consensus lane — 2 rounds per cascade instead
-of 2·N — while merging deterministically so the post-state is byte-identical
-to the sequential oracle.
+through *shared* request/ack rounds and runs their ledger-free middles one
+after another in between — 2 rounds per cascade instead of 2·N — so the
+post-state is byte-identical to the sequential oracle.
 
 The workload is cascade-heavy by construction (see
 :func:`repro.workloads.topology.build_join_topology_system`): a hospital

@@ -1,6 +1,6 @@
 """Baseline systems the paper compares against qualitatively (§V).
 
-To make the §V claims measurable, three comparators are implemented:
+To make the §V claims measurable, two comparators are implemented:
 
 * :mod:`repro.baselines.full_record` — MedRec-style sharing [4]: the whole
   record is shared with each authorised peer (access control on the full
@@ -8,17 +8,12 @@ To make the §V claims measurable, three comparators are implemented:
 * :mod:`repro.baselines.onchain_storage` — HDG-style storage [22]: the raw
   medical data itself is stored on-chain, so every node replicates it.  Used
   by the storage-pressure benchmark (E6).
-* :mod:`repro.baselines.centralized` — a trusted central server holding all
-  shared data with centralized access control; the single point of failure
-  the introduction argues against.  Used for latency/availability comparisons.
 """
 
 from repro.baselines.full_record import FullRecordSharingBaseline
 from repro.baselines.onchain_storage import OnChainStorageBaseline
-from repro.baselines.centralized import CentralizedSharingBaseline
 
 __all__ = [
     "FullRecordSharingBaseline",
     "OnChainStorageBaseline",
-    "CentralizedSharingBaseline",
 ]

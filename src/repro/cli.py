@@ -198,7 +198,6 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
                          replicas: int = 0,
                          replica_ship_interval: float = 0.0,
                          replica_max_lag: float = 30.0,
-                         wire_codec: Optional[str] = None,
                          include_fingerprints: bool = False) -> Dict[str, Any]:
     """Drive open-loop multi-tenant traffic through the gateway; returns metrics.
 
@@ -233,10 +232,6 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
     on the primary.  Replicas need durable peers, so without ``state_dir``
     a temporary one backs the run.
 
-    ``wire_codec`` attaches a :mod:`repro.runtime` codec to the network
-    transport's delivery boundary, round-tripping every gossiped payload
-    through encode/decode (the in-process rehearsal of a real wire; adds
-    ``wire_messages``/``wire_bytes`` to the transport stats).
     ``include_fingerprints`` adds the system's per-peer per-table state
     fingerprints to the result — the oracle the gateway-fleet bench uses
     to prove loopback placement is byte-identical to this single-process
@@ -268,7 +263,7 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
                 latency_target=latency_target, chaos=chaos,
                 chaos_events_out=chaos_events_out, replicas=replicas,
                 replica_ship_interval=replica_ship_interval,
-                replica_max_lag=replica_max_lag, wire_codec=wire_codec,
+                replica_max_lag=replica_max_lag,
                 include_fingerprints=include_fingerprints)
     config = SystemConfig.private_chain(interval)
     if replicas > 0:
@@ -280,8 +275,6 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
                                           max_lag=replica_max_lag))
     system = build_topology_system(TopologySpec(patients=tenants, researchers=0, seed=seed),
                                    config)
-    if wire_codec is not None:
-        system.simulator.transport.configure_wire_codec(wire_codec)
     tracer = Tracer(system.simulator.clock) if (trace or trace_out) else None
     injector = None
     if chaos is not None:
@@ -373,7 +366,6 @@ def run_gateway_fleet(processes: int, tenants: int = 8, duration: float = 30.0,
                       interval: float = 2.0, batch_size: int = 16,
                       seed: int = 23, transport: str = "sync",
                       mode: str = "multiprocess",
-                      wire_codec: Optional[str] = None,
                       state_dir: Optional[str] = None,
                       fsync_policy: Optional[str] = None,
                       include_fingerprints: bool = False,
@@ -388,8 +380,7 @@ def run_gateway_fleet(processes: int, tenants: int = 8, duration: float = 30.0,
     the placement: ``multiprocess`` forks real worker processes (socketpair
     framing, genuinely parallel commits), ``loopback`` runs the same
     protocol over in-process queues (deterministic, byte-identical to the
-    sequential runs).  ``wire_codec`` selects the fleet's wire encoding and
-    is also handed to each worker's network transport.
+    sequential runs).
 
     With ``state_dir`` each worker journals responses under its own
     ``<state_dir>/<worker-name>`` subdirectory, so a crashed worker's WAL
@@ -403,18 +394,16 @@ def run_gateway_fleet(processes: int, tenants: int = 8, duration: float = 30.0,
     specs = partition_tenants(
         tenants, processes, base_seed=seed, duration=duration, rate=rate,
         read_fraction=read_fraction, interval=interval, batch_size=batch_size,
-        transport=transport, fsync_policy=fsync_policy, wire_codec=wire_codec,
+        transport=transport, fsync_policy=fsync_policy,
         include_fingerprints=include_fingerprints)
     if state_dir is not None:
         specs = [_dataclasses.replace(spec,
                                       state_dir=_os.path.join(state_dir, spec.name))
                  for spec in specs]
-    fleet = GatewayFleet(specs, mode=mode, wire_codec=wire_codec,
-                         timeout=timeout)
+    fleet = GatewayFleet(specs, mode=mode, timeout=timeout)
     result = fleet.run().to_dict()
     result["processes"] = processes
     result["tenants"] = tenants
-    result["wire_codec"] = wire_codec
     return result
 
 
@@ -690,8 +679,7 @@ def _cmd_gateway_loadtest(args: argparse.Namespace) -> int:
             latency_target=args.latency_target, chaos=args.chaos,
             chaos_events_out=args.chaos_events_out, replicas=args.replicas,
             replica_ship_interval=args.replica_ship_interval,
-            replica_max_lag=args.replica_max_lag,
-            wire_codec=args.wire_codec)
+            replica_max_lag=args.replica_max_lag)
     except (ValueError, ChaosError, OSError) as exc:
         print(f"gateway-loadtest: {exc}", file=sys.stderr)
         return 2
@@ -782,7 +770,7 @@ def _cmd_gateway_fleet(args: argparse.Namespace) -> int:
             read_fraction=args.read_fraction, interval=args.interval,
             batch_size=args.batch_size, seed=args.seed,
             transport=args.transport, mode=args.fleet_mode,
-            wire_codec=args.wire_codec, state_dir=args.state_dir,
+            state_dir=args.state_dir,
             fsync_policy=args.fsync_policy)
     except (ValueError, FleetError, WorkerCrashError, OSError) as exc:
         print(f"gateway-loadtest: {exc}", file=sys.stderr)
@@ -794,7 +782,6 @@ def _cmd_gateway_fleet(args: argparse.Namespace) -> int:
         ("placement", result["mode"]),
         ("worker processes", result["processes"]),
         ("tenants (total)", result["tenants"]),
-        ("wire codec", result["wire_codec"] or "none (loopback objects)"),
         ("wall seconds", round(result["wall_seconds"], 3)),
         ("writes committed (all workers)", result["committed_writes"]),
         ("aggregate throughput (writes/s wall)",
@@ -1053,12 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(parallel commits) or in-process loopback "
                                "threads (deterministic rehearsal of the "
                                "same protocol)")
-    loadtest.add_argument("--wire-codec", choices=("canonical-json", "binary"),
-                          default=None,
-                          help="wire codec for the runtime boundary: fleet "
-                               "framing and the gossip transport's "
-                               "encode/decode rehearsal (default: no "
-                               "re-encoding)")
 
     soak = add_command(
         "chaos-soak", "run a seeded fault plan against its fault-free "

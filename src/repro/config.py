@@ -296,12 +296,13 @@ class SystemConfig:
         application (the first included) is checked against a full
         recomputation via ``Table.fingerprint()``.  ``0`` disables checking.
     parallel_cascades:
-        When true (the default) Fig. 5 cascade legs targeting *different*
-        consensus lanes inside one propagation are batched into shared
-        request/acknowledgement rounds and their counterpart-side work runs
-        concurrently on executor threads, merged deterministically.  Only
-        takes effect with ``consensus_shards > 1`` — single-lane systems
-        keep the sequential path byte-identical to the seed.
+        When true (the default) the Fig. 5 cascade legs of one propagation
+        are batched into shared request/acknowledgement rounds, with each
+        leg's counterpart-side work run serially between them.  Only takes
+        effect with ``consensus_shards > 1`` — single-lane systems keep the
+        sequential path byte-identical to the seed.  ``False`` keeps the
+        two-rounds-per-leg sequential path as the oracle the E17 benchmark
+        compares against.
     """
 
     ledger: LedgerConfig = field(default_factory=LedgerConfig)

@@ -18,7 +18,6 @@ benchmarks and the examples can print the exact choreography.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -274,8 +273,7 @@ class UpdateCoordinator:
         #: indexes and caches instead of recomputing whole tables.
         self.delta_enabled = bool(getattr(system.config, "delta_propagation", True))
         #: When true and the ledger has more than one consensus lane, the
-        #: legs of one cascade commit through *shared* request/ack rounds and
-        #: their ledger-free middles run on executor threads grouped by lane
+        #: legs of one cascade commit through *shared* request/ack rounds
         #: (see :meth:`_cascade_parallel`).  Single-lane systems always take
         #: the sequential path, byte-identical to the seed.
         self.parallel_enabled = bool(getattr(system.config, "parallel_cascades", True))
@@ -1031,26 +1029,18 @@ class UpdateCoordinator:
 
     def _cascade_parallel(self, peer_name: str, trace: WorkflowTrace, depth: int,
                           legs: Sequence[Tuple[str, TableDiff]]) -> None:
-        """Propagate one peer's cascade legs through *shared* consensus rounds,
-        running different-lane counterpart work on executor threads.
+        """Propagate one peer's cascade legs through *shared* consensus rounds.
 
         The sequential loop above costs two mining rounds per leg; here every
         leg's request transaction mines in one shared round and every
-        acknowledgement in a second (the :meth:`commit_entry_batch` shape),
-        and the ledger-free middle of each leg — notification, data transfer,
-        counterpart ``put`` — runs concurrently, one executor task per
-        consensus lane.  Legs sharing a counterpart peer coalesce into one
-        task: a peer's database manager is single-threaded by design.
-
-        All cross-leg mutable state — the trace, view installs, receipts,
-        nested cascades, change listeners — is touched only in the serial
-        phases, in sorted leg order; worker threads buffer their trace steps
-        for a deterministic ordered merge.  Simulated-clock advances are
-        additive and commutative, so resulting table states and fingerprints
-        are byte-identical to the sequential path.  A rejected leg leaves
-        exactly the sequential bookkeeping (failed trace fields, an
-        unhealed-view mark, a ``cascade_rejected`` step) without aborting the
-        batch.
+        acknowledgement in a second (the :meth:`commit_entry_batch` shape).
+        The ledger-free middle of each leg — notification, data transfer,
+        counterpart ``put`` — runs between the two rounds, one leg after
+        another in sorted leg order.  Simulated-clock advances are additive,
+        so resulting table states and fingerprints are byte-identical to the
+        sequential path.  A rejected leg leaves exactly the sequential
+        bookkeeping (failed trace fields, an unhealed-view mark, a
+        ``cascade_rejected`` step) without aborting the batch.
         """
         if depth + 1 > 8:
             raise WorkflowError("propagation cascade exceeded the supported depth")
@@ -1058,11 +1048,9 @@ class UpdateCoordinator:
         peer = self._peer(peer_name)
         router = self.system.simulator.router
 
-        # Phase A (serial, sorted): record each leg, build + locally ingest
-        # its request transaction (keeping the initiator's nonces sequential)
-        # and pre-resolve the pairwise data channel — registry creation is
-        # not thread-safe, transfers on existing channels are.  Then one
-        # shared consensus round mines every request.
+        # Phase A (sorted): record each leg and build + locally ingest its
+        # request transaction (keeping the initiator's nonces sequential).
+        # Then one shared consensus round mines every request.
         prepared: List[Dict[str, Any]] = []
         request_submissions: List[Tuple[str, Any]] = []
         for dependent_id, diff in legs:
@@ -1073,7 +1061,6 @@ class UpdateCoordinator:
                            rows_changed=len(diff))
             agreement = peer.agreement(dependent_id)
             counterpart = agreement.counterparty_of(peer_name)
-            app.channel_to(counterpart)
             changed = self._changed_attributes(diff, agreement)
             tx = app.build_contract_call(
                 "request_update",
@@ -1102,7 +1089,7 @@ class UpdateCoordinator:
             span.annotate(blocks=blocks)
         trace.blocks_created += blocks
 
-        # Phase B (serial, sorted): read each receipt; install accepted legs
+        # Phase B (sorted): read each receipt; install accepted legs
         # on the initiator side, leave rejected ones with the sequential
         # path's bookkeeping.
         active: List[Dict[str, Any]] = []
@@ -1136,87 +1123,51 @@ class UpdateCoordinator:
         if not active:
             return
 
-        # Phase B2 (concurrent): the ledger-free middle of each accepted leg.
-        # Worker threads never touch the trace — steps buffer per leg and
-        # merge serially below, so step order stays deterministic whatever
-        # the thread interleaving.
-        def run_legs(group: Sequence[Dict[str, Any]]) -> None:
-            for leg in group:
-                dependent_id = leg["dependent_id"]
-                diff = leg["diff"]
-                counterpart = leg["counterpart"]
-                counterpart_app = self._app(counterpart)
-                update_id = leg["update_id"]
-                steps: List[Tuple[str, str, str, Dict[str, Any]]] = []
-                with self.tracer.span("cascade.leg", peer=peer_name,
-                                      metadata_id=dependent_id, depth=depth,
-                                      lane=leg["lane"], rows=len(diff)):
-                    notifications = counterpart_app.pop_notifications(dependent_id)
-                    if not any(n.update_id == update_id for n in notifications):
-                        raise WorkflowError(
-                            f"peer {counterpart!r} did not receive the contract "
-                            f"notification for update {update_id} on {dependent_id!r}"
-                        )
-                    steps.append((counterpart, "notified",
-                                  f"received contract notification "
-                                  f"(update #{update_id})",
-                                  {"update_id": update_id}))
-                    counterpart_app.request_shared_data(dependent_id, peer_name,
-                                                        since_update=update_id)
-                    transfer = app.serve_shared_data(dependent_id, counterpart,
-                                                     mode="diff")
-                    counterpart_app.receive_shared_data(dependent_id, transfer)
-                    steps.append((counterpart, "fetch_data",
-                                  f"fetched updated shared data ({transfer.kind}, "
-                                  f"{transfer.size_bytes} bytes)",
-                                  {"transfer_kind": transfer.kind,
-                                   "bytes": transfer.size_bytes}))
-                    counterpart_diff = self._reflect(counterpart_app,
-                                                     dependent_id, diff)
-                    steps.append((counterpart, "bx_put",
-                                  f"reflect shared-table change into local base "
-                                  f"table ({len(counterpart_diff)} row change(s))",
-                                  {"rows_changed": len(counterpart_diff)}))
-                    ack_tx = counterpart_app.build_contract_call(
-                        "acknowledge_update",
-                        {"metadata_id": dependent_id, "update_id": update_id},
+        # Phase B2 (serial, sorted): the ledger-free middle of each accepted
+        # leg — notification, data transfer, counterpart ``put`` — ending in
+        # the counterpart's locally ingested acknowledgement.
+        for leg in active:
+            dependent_id = leg["dependent_id"]
+            diff = leg["diff"]
+            counterpart = leg["counterpart"]
+            counterpart_app = self._app(counterpart)
+            update_id = leg["update_id"]
+            with self.tracer.span("cascade.leg", peer=peer_name,
+                                  metadata_id=dependent_id, depth=depth,
+                                  lane=leg["lane"], rows=len(diff)):
+                notifications = counterpart_app.pop_notifications(dependent_id)
+                if not any(n.update_id == update_id for n in notifications):
+                    raise WorkflowError(
+                        f"peer {counterpart!r} did not receive the contract "
+                        f"notification for update {update_id} on {dependent_id!r}"
                     )
-                    counterpart_app.node.receive_transaction(ack_tx)
-                leg["steps"] = steps
-                leg["counterpart_diff"] = counterpart_diff
-                leg["ack_tx"] = ack_tx
+                trace.add_step(counterpart, "notified",
+                               f"received contract notification (update #{update_id})",
+                               self._clock.now(), update_id=update_id)
+                counterpart_app.request_shared_data(dependent_id, peer_name,
+                                                    since_update=update_id)
+                transfer = app.serve_shared_data(dependent_id, counterpart,
+                                                 mode="diff")
+                counterpart_app.receive_shared_data(dependent_id, transfer)
+                trace.add_step(counterpart, "fetch_data",
+                               f"fetched updated shared data ({transfer.kind}, "
+                               f"{transfer.size_bytes} bytes)", self._clock.now(),
+                               transfer_kind=transfer.kind,
+                               bytes=transfer.size_bytes)
+                leg["counterpart_diff"] = self._reflect(counterpart_app,
+                                                        dependent_id, diff)
+                trace.add_step(counterpart, "bx_put",
+                               f"reflect shared-table change into local base "
+                               f"table ({len(leg['counterpart_diff'])} row change(s))",
+                               self._clock.now(),
+                               rows_changed=len(leg["counterpart_diff"]))
+                leg["ack_tx"] = counterpart_app.build_contract_call(
+                    "acknowledge_update",
+                    {"metadata_id": dependent_id, "update_id": update_id},
+                )
+                counterpart_app.node.receive_transaction(leg["ack_tx"])
 
-        groups: Dict[Any, List[Dict[str, Any]]] = {}
-        group_of_counterpart: Dict[str, Any] = {}
-        for leg in active:
-            key = group_of_counterpart.setdefault(leg["counterpart"],
-                                                  ("lane", leg["lane"]))
-            groups.setdefault(key, []).append(leg)
-        errors: List[BaseException] = []
-        if len(groups) == 1:
-            try:
-                run_legs(active)
-            except Exception as exc:  # noqa: BLE001 — re-raised after the merge
-                errors.append(exc)
-        else:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                futures = [pool.submit(run_legs, group)
-                           for group in groups.values()]
-                for future in futures:
-                    exc = future.exception()
-                    if exc is not None:
-                        errors.append(exc)
-        # Deterministic ordered merge: buffered steps land on the trace in
-        # sorted leg order, stamped at the post-barrier simulated time (the
-        # clock only ever advances by summed, commutative increments).
-        merged_at = self._clock.now()
-        for leg in active:
-            for actor, action, description, data in leg.get("steps", ()):
-                trace.add_step(actor, action, description, merged_at, **data)
-        if errors:
-            raise errors[0]
-
-        # Phase B3 (serial): one shared consensus round for every
+        # Phase B3: one shared consensus round for every
         # acknowledgement.
         ack_submissions = [(self._app(leg["counterpart"]).node.name, leg["ack_tx"])
                            for leg in active]
@@ -1227,7 +1178,7 @@ class UpdateCoordinator:
             span.annotate(blocks=blocks)
         trace.blocks_created += blocks
 
-        # Phase C (serial, sorted): confirm acknowledgements, recurse into
+        # Phase C (sorted): confirm acknowledgements, recurse into
         # each counterpart's own cascade (which may batch again), fire the
         # change listeners and heal the view bookkeeping.
         for leg in active:

@@ -221,20 +221,11 @@ class CircuitOpenError(GatewayError):
 
 
 # ---------------------------------------------------------------------------
-# Runtime (message-passing boundary, wire codecs, process fleet)
+# Runtime (message-passing boundary, process fleet)
 # ---------------------------------------------------------------------------
 
 class RuntimeBoundaryError(ReproError):
     """Base class for errors raised by :mod:`repro.runtime`."""
-
-
-class CodecError(RuntimeBoundaryError):
-    """A wire codec could not encode or decode a payload.
-
-    Raised for values outside the deterministic wire model (unsupported
-    types, non-string mapping keys) and for malformed byte streams
-    (unknown tags, truncated frames, trailing garbage).
-    """
 
 
 class EnvelopeError(RuntimeBoundaryError):

@@ -40,8 +40,6 @@ from repro.ledger.chain import Blockchain
 from repro.ledger.lanes import HeldClock, LaneScheduler
 from repro.ledger.miner import Miner
 from repro.ledger.sharding import ShardedMempool, ShardRouter
-from repro.ledger.light_client import InclusionProof, LightClient, build_inclusion_proof
-from repro.ledger.archive import export_chain, import_chain, verify_archive
 
 __all__ = [
     "SimClock",
@@ -66,10 +64,4 @@ __all__ = [
     "Miner",
     "ShardRouter",
     "ShardedMempool",
-    "InclusionProof",
-    "LightClient",
-    "build_inclusion_proof",
-    "export_chain",
-    "import_chain",
-    "verify_archive",
 ]

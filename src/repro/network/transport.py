@@ -53,9 +53,6 @@ class SimTransport:
         self._parked: Dict[str, List[Message]] = {}
         self._retransmit_count = 0
         self._lost_count = 0
-        self._wire_codec = None
-        self._wire_messages = 0
-        self._wire_bytes = 0
 
     def configure_chaos(self, injector=None,
                         retry_policy: Optional[RetryPolicy] = None) -> None:
@@ -64,24 +61,6 @@ class SimTransport:
             self.injector = injector
         if retry_policy is not None:
             self.retry_policy = retry_policy
-
-    def configure_wire_codec(self, codec) -> None:
-        """Round-trip every delivered payload through a wire codec.
-
-        ``codec`` is a :class:`~repro.runtime.codec.WireCodec` or registry
-        name (``None`` disables the seam — the default, which leaves
-        delivery byte-identical to the seed).  With a codec attached, each
-        payload is encoded and decoded at the delivery boundary, proving
-        the traffic fits the codec's wire model and measuring its encoded
-        size (``wire_messages``/``wire_bytes`` in :attr:`statistics`)
-        before any peer is moved out of process.
-        """
-        if codec is None:
-            self._wire_codec = None
-            return
-        from repro.runtime.codec import get_codec
-
-        self._wire_codec = get_codec(codec)
 
     # ------------------------------------------------------------- registration
 
@@ -167,13 +146,6 @@ class SimTransport:
                 handler = self._handlers.get(message.recipient)
                 if handler is None:
                     raise UnknownPeerError(f"recipient {message.recipient!r} vanished")
-                if self._wire_codec is not None:
-                    # The in-process rehearsal of a real wire: the handler
-                    # sees exactly what a remote peer would decode.
-                    data = self._wire_codec.encode(message.payload)
-                    self._wire_messages += 1
-                    self._wire_bytes += len(data)
-                    message.payload = self._wire_codec.decode(data)
                 handler(message)
                 delivered += 1
                 self._delivered_count += 1
@@ -240,8 +212,8 @@ class SimTransport:
         return tuple(self._log)
 
     @property
-    def statistics(self) -> Dict[str, Any]:
-        stats = {
+    def statistics(self) -> Dict[str, int]:
+        return {
             "sent": len(self._log),
             "delivered": self._delivered_count,
             "dropped": self._dropped_count,
@@ -250,13 +222,6 @@ class SimTransport:
             "lost": self._lost_count,
             "parked": sum(len(v) for v in self._parked.values()),
         }
-        if self._wire_codec is not None:
-            # Only surfaced when the seam is on, so seed-era callers that
-            # compare the full dict see exactly the keys they always did.
-            stats["wire_codec"] = self._wire_codec.name
-            stats["wire_messages"] = self._wire_messages
-            stats["wire_bytes"] = self._wire_bytes
-        return stats
 
     def messages_seen_by(self, peer: str) -> Tuple[Message, ...]:
         """Messages delivered to ``peer`` (what that peer has been exposed to)."""

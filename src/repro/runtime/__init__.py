@@ -5,11 +5,6 @@ and replication layers as one in-process call graph.  This package carves
 an explicit message boundary out of that graph so the same components can
 be placed in separate OS processes without changing their semantics:
 
-``codec``
-    Pluggable wire codecs.  ``canonical-json`` reproduces the hashing
-    layer's canonical JSON byte-for-byte; ``binary`` is a deterministic
-    length-prefixed TLV encoding of the same value model.
-
 ``envelope``
     Typed :class:`Envelope` messages with the WAL's sequence discipline:
     every envelope carries a monotonically increasing per-channel sequence
@@ -19,7 +14,7 @@ be placed in separate OS processes without changing their semantics:
     The :class:`Transport` interface with two implementations —
     :class:`LoopbackTransport` (in-process queues; today's behaviour,
     byte-identical fingerprints) and :class:`MultiprocessTransport`
-    (socketpair framing with length-prefixed payloads).
+    (socketpair framing with length-prefixed canonical-JSON payloads).
 
 ``clock``
     A :class:`ClockCoordinator` that merges per-worker simulated clocks so
@@ -31,20 +26,13 @@ be placed in separate OS processes without changing their semantics:
     slice, and aggregates throughput, metrics and state fingerprints.
 """
 
-from repro.runtime.codec import (
-    BinaryCodec,
-    CanonicalJsonCodec,
-    WireCodec,
-    available_codecs,
-    get_codec,
-    read_frame,
-    write_frame,
-)
 from repro.runtime.envelope import Envelope, EnvelopeChannel
 from repro.runtime.transport import (
     LoopbackTransport,
     MultiprocessTransport,
     Transport,
+    read_frame,
+    write_frame,
 )
 from repro.runtime.clock import ClockCoordinator, WorkerClock
 from repro.runtime.fleet import (
@@ -56,8 +44,6 @@ from repro.runtime.fleet import (
 )
 
 __all__ = [
-    "BinaryCodec",
-    "CanonicalJsonCodec",
     "ClockCoordinator",
     "Envelope",
     "EnvelopeChannel",
@@ -66,11 +52,8 @@ __all__ = [
     "LoopbackTransport",
     "MultiprocessTransport",
     "Transport",
-    "WireCodec",
     "WorkerClock",
     "WorkerSpec",
-    "available_codecs",
-    "get_codec",
     "partition_tenants",
     "read_frame",
     "run_worker_slice",

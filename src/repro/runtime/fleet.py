@@ -82,7 +82,6 @@ class WorkerSpec:
     transport: str = "sync"
     state_dir: Optional[str] = None
     fsync_policy: Optional[str] = None
-    wire_codec: Optional[str] = None
     include_fingerprints: bool = True
     #: Test hook: crash the worker process (``os._exit``) inside the Nth
     #: response-journal sync — i.e. mid-commit, after WAL appends.
@@ -123,8 +122,8 @@ def run_worker_slice(spec: WorkerSpec) -> Dict[str, Any]:
 
     This is the whole worker: the existing single-process load-test engine
     over the slice's tenants.  The result is normalised through canonical
-    JSON so it fits the wire model of every codec (sets become sorted
-    lists, tuples become lists) identically in loopback and multiprocess
+    JSON so it crosses the wire unchanged (sets become sorted lists,
+    tuples become lists) identically in loopback and multiprocess
     placements.
     """
     from repro.cli import run_gateway_loadtest
@@ -141,7 +140,6 @@ def run_worker_slice(spec: WorkerSpec) -> Dict[str, Any]:
         transport=spec.transport,
         state_dir=spec.state_dir,
         fsync_policy=spec.fsync_policy,
-        wire_codec=spec.wire_codec,
         include_fingerprints=spec.include_fingerprints,
     )
     result["worker"] = spec.name
@@ -211,9 +209,9 @@ def _serve_worker(transport: Transport, forked: bool = False) -> None:
     transport.close()
 
 
-def _mp_worker_entry(name: str, sock: socket.socket, codec: Optional[str]) -> None:
+def _mp_worker_entry(name: str, sock: socket.socket) -> None:
     """Child-process entry point (fork start method)."""
-    transport = MultiprocessTransport(name, sock, codec=codec)
+    transport = MultiprocessTransport(name, sock)
     try:
         _serve_worker(transport, forked=True)
     except FleetProtocolError:
@@ -225,7 +223,7 @@ class GatewayFleet:
     """Coordinate a set of worker slices over a chosen transport placement."""
 
     def __init__(self, specs: List[WorkerSpec], mode: str = "loopback",
-                 wire_codec: Optional[str] = None, timeout: float = 300.0,
+                 timeout: float = 300.0,
                  on_crash: str = "raise"):
         if mode not in ("loopback", "multiprocess"):
             raise FleetError(f"unknown fleet mode {mode!r}: "
@@ -245,7 +243,6 @@ class GatewayFleet:
                     f"coordinator): use mode='multiprocess' for {crashers}")
         self.specs = list(specs)
         self.mode = mode
-        self.wire_codec = wire_codec
         self.timeout = timeout
         self.on_crash = on_crash
         self.clock = ClockCoordinator()
@@ -284,8 +281,7 @@ class GatewayFleet:
         threads = {}
         for spec in self.specs:
             coordinator_end, worker_end = LoopbackTransport.pair(
-                left=f"coordinator->{spec.name}", right=spec.name,
-                codec=self.wire_codec)
+                left=f"coordinator->{spec.name}", right=spec.name)
             thread = threading.Thread(target=_serve_worker, args=(worker_end,),
                                       name=f"fleet-{spec.name}", daemon=True)
             thread.start()
@@ -314,7 +310,7 @@ class GatewayFleet:
             parent_sock, child_sock = socket.socketpair()
             process = context.Process(
                 target=_mp_worker_entry,
-                args=(spec.name, child_sock, self.wire_codec),
+                args=(spec.name, child_sock),
                 name=f"fleet-{spec.name}", daemon=True)
             process.start()
             # Close the parent's copy of the child end immediately — before
@@ -323,7 +319,7 @@ class GatewayFleet:
             # EOF while any sibling is still alive.
             child_sock.close()
             ends[spec.name] = MultiprocessTransport(
-                f"coordinator->{spec.name}", parent_sock, codec=self.wire_codec)
+                f"coordinator->{spec.name}", parent_sock)
             processes[spec.name] = process
         for spec in self.specs:
             ends[spec.name].send("worker.run", spec.to_dict())

@@ -6,38 +6,79 @@ an :class:`~repro.runtime.envelope.EnvelopeChannel`, so sequence gaps are
 protocol errors regardless of the medium underneath:
 
 :class:`LoopbackTransport`
-    In-process queues.  This is today's behaviour — envelopes are passed
-    as objects, nothing is re-encoded, and fingerprints stay byte-identical
-    to the direct-call graph.  With a ``codec`` it additionally round-trips
-    every payload through encode/decode, proving a component's traffic fits
-    the wire model before it is ever moved out of process.
+    In-process queues.  Envelopes are passed as objects, nothing is
+    re-encoded, and fingerprints stay byte-identical to the direct-call
+    graph.
 
 :class:`MultiprocessTransport`
     A ``socket.socketpair()`` end with length-prefixed frames (4-byte
-    big-endian prefix, payload encoded by the wire codec).  Built for
-    fork-based workers: the parent keeps one end, the child inherits the
-    other.
+    big-endian prefix, canonical-JSON payload — the same bytes the hashing
+    and WAL layers emit).  Built for fork-based workers: the parent keeps
+    one end, the child inherits the other.
 """
 
 from __future__ import annotations
 
+import json
 import queue
 import socket
+import struct
+import time
 from typing import Any, Dict, Optional
 
-from repro.errors import CodecError, FleetProtocolError
-from repro.runtime.codec import WireCodec, get_codec, read_frame, write_frame
+from repro.crypto.hashing import canonical_json
+from repro.errors import FleetProtocolError
 from repro.runtime.envelope import Envelope, EnvelopeChannel
 
-__all__ = ["Transport", "LoopbackTransport", "MultiprocessTransport"]
+__all__ = ["Transport", "LoopbackTransport", "MultiprocessTransport",
+           "write_frame", "read_frame"]
+
+#: Maximum frame payload the runtime will accept: a defence against a
+#: corrupted length prefix allocating gigabytes.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+_HEADER = struct.Struct(">I")
+
+
+def write_frame(sock: socket.socket, payload: bytes) -> int:
+    """Send ``payload`` behind a 4-byte big-endian length prefix.
+
+    Returns the total number of bytes written (prefix included).
+    """
+    if len(payload) > MAX_FRAME_BYTES:
+        raise FleetProtocolError(
+            f"frame of {len(payload)} bytes exceeds limit {MAX_FRAME_BYTES}")
+    frame = _HEADER.pack(len(payload)) + payload
+    sock.sendall(frame)
+    return len(frame)
+
+
+def read_frame(buffer: bytearray) -> Optional[bytes]:
+    """Pop one complete frame's payload off the front of ``buffer``.
+
+    Returns ``None`` while the buffer holds only part of a frame; in that
+    case nothing is consumed, so the caller can append more bytes and ask
+    again.
+    """
+    if len(buffer) < _HEADER.size:
+        return None
+    (length,) = _HEADER.unpack_from(buffer)
+    if length > MAX_FRAME_BYTES:
+        raise FleetProtocolError(
+            f"frame length {length} exceeds limit {MAX_FRAME_BYTES}")
+    end = _HEADER.size + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[_HEADER.size:end])
+    del buffer[:end]
+    return payload
 
 
 class Transport:
     """One end of an ordered, bidirectional envelope stream."""
 
-    def __init__(self, name: str, codec: "WireCodec | str | None" = None):
+    def __init__(self, name: str):
         self.name = name
-        self.codec: Optional[WireCodec] = None if codec is None else get_codec(codec)
         self._out = EnvelopeChannel(sender=name)
         self._in: Optional[EnvelopeChannel] = None
         self._stats: Dict[str, int] = {
@@ -69,8 +110,7 @@ class Transport:
 
         Returns ``None`` on clean end-of-stream.  Raises
         :class:`FleetProtocolError` on timeout, torn frames, or sequence
-        gaps — all of which mean the peer broke protocol, not that there
-        is simply nothing to read yet.
+        gaps.  A timeout consumes nothing, so the caller may receive again.
         """
         envelope = self._collect(timeout)
         if envelope is None:
@@ -103,51 +143,38 @@ class Transport:
 class LoopbackTransport(Transport):
     """In-process transport over a pair of queues.
 
-    Without a codec, envelopes cross untouched — object identity of the
-    payload is preserved, which is what keeps loopback runs byte-identical
-    to the pre-runtime call graph.  With a codec, payloads are round-tripped
-    through ``encode``/``decode`` at delivery (the in-process rehearsal of
-    going over a real wire).
+    Envelopes cross untouched — object identity of the payload is
+    preserved, which is what keeps loopback runs byte-identical to the
+    pre-runtime call graph.
     """
 
     def __init__(self, name: str,
                  outbox: "queue.Queue[Optional[Envelope]]",
-                 inbox: "queue.Queue[Optional[Envelope]]",
-                 codec: "WireCodec | str | None" = None):
-        super().__init__(name, codec=codec)
+                 inbox: "queue.Queue[Optional[Envelope]]"):
+        super().__init__(name)
         self._outbox = outbox
         self._inbox = inbox
 
     @classmethod
-    def pair(cls, left: str = "left", right: str = "right",
-             codec: "WireCodec | str | None" = None
+    def pair(cls, left: str = "left", right: str = "right"
              ) -> "tuple[LoopbackTransport, LoopbackTransport]":
         a_to_b: "queue.Queue[Optional[Envelope]]" = queue.Queue()
         b_to_a: "queue.Queue[Optional[Envelope]]" = queue.Queue()
         return (
-            cls(left, outbox=a_to_b, inbox=b_to_a, codec=codec),
-            cls(right, outbox=b_to_a, inbox=a_to_b, codec=codec),
+            cls(left, outbox=a_to_b, inbox=b_to_a),
+            cls(right, outbox=b_to_a, inbox=a_to_b),
         )
 
     def _transmit(self, envelope: Envelope) -> None:
-        if self.codec is not None:
-            data = self.codec.encode(envelope.to_dict())
-            self._stats["wire_bytes_out"] += len(data)
-            envelope = Envelope.from_dict(self.codec.decode(data))
         self._outbox.put(envelope)
 
     def _collect(self, timeout: Optional[float]) -> Optional[Envelope]:
         try:
-            envelope = self._inbox.get(timeout=timeout)
+            return self._inbox.get(timeout=timeout)
         except queue.Empty:
             raise FleetProtocolError(
                 f"loopback receive on {self.name!r} timed out after {timeout}s"
             ) from None
-        if envelope is None:
-            return None
-        if self.codec is not None:
-            self._stats["wire_bytes_in"] += len(self.codec.encode(envelope.to_dict()))
-        return envelope
 
     def close(self) -> None:
         # A sentinel unblocks a peer waiting in receive().
@@ -155,77 +182,67 @@ class LoopbackTransport(Transport):
 
 
 class MultiprocessTransport(Transport):
-    """Socket transport with length-prefixed frames.
+    """Socket transport with length-prefixed canonical-JSON frames.
 
-    Each envelope is ``codec.encode(envelope.to_dict())`` behind a 4-byte
-    big-endian length prefix.  The codec defaults to ``canonical-json``;
-    the deterministic ``binary`` codec plugs in behind the same API.
-
-    .. warning:: a receive timeout **poisons the transport**.  Frames are
-       read through a buffered ``makefile`` reader; a timeout that fires
-       mid-frame leaves partially-consumed bytes in the buffer, permanently
-       desyncing the stream.  That is why the timeout surfaces as a fatal
-       :class:`FleetProtocolError` rather than a retryable "nothing yet":
-       after one, the peer is presumed broken and the transport must be
-       abandoned (the fleet coordinator treats it as a worker crash), never
-       ``receive``\\ d from again.
+    Received bytes collect in the transport's own buffer, and a frame is
+    handed out only once it is complete.  A receive timeout therefore
+    consumes nothing: the stream stays in sync and a later ``receive``
+    picks up where the timed-out one stopped.
     """
 
-    def __init__(self, name: str, sock: socket.socket,
-                 codec: "WireCodec | str | None" = None):
-        super().__init__(name, codec=codec)
-        if self.codec is None:
-            self.codec = get_codec(None)
+    def __init__(self, name: str, sock: socket.socket):
+        super().__init__(name)
         self._sock = sock
-        self._reader = sock.makefile("rb")
-        self._writer = sock.makefile("wb")
+        self._buffer = bytearray()
 
     @classmethod
-    def pair(cls, left: str = "parent", right: str = "child",
-             codec: "WireCodec | str | None" = None
+    def pair(cls, left: str = "parent", right: str = "child"
              ) -> "tuple[MultiprocessTransport, MultiprocessTransport]":
         sock_a, sock_b = socket.socketpair()
-        return cls(left, sock_a, codec=codec), cls(right, sock_b, codec=codec)
+        return cls(left, sock_a), cls(right, sock_b)
 
     def _transmit(self, envelope: Envelope) -> None:
-        assert self.codec is not None
-        payload = self.codec.encode(envelope.to_dict())
+        payload = canonical_json(envelope.to_dict()).encode("utf-8")
         try:
-            written = write_frame(self._writer, payload)
-            self._writer.flush()
-        except (BrokenPipeError, OSError) as exc:
+            self._sock.settimeout(None)  # a receive deadline must not cut a send
+            written = write_frame(self._sock, payload)
+        except OSError as exc:
             raise FleetProtocolError(
                 f"transport {self.name!r} failed to transmit: {exc}"
             ) from exc
         self._stats["wire_bytes_out"] += written
 
     def _collect(self, timeout: Optional[float]) -> Optional[Envelope]:
-        assert self.codec is not None
-        self._sock.settimeout(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            frame = read_frame(self._buffer)
+            if frame is not None:
+                break
+            # Past the deadline, still take bytes that are already waiting.
+            remaining = (None if deadline is None
+                         else max(deadline - time.monotonic(), 1e-3))
+            try:
+                self._sock.settimeout(remaining)
+                chunk = self._sock.recv(65536)
+            except socket.timeout:
+                raise FleetProtocolError(
+                    f"socket receive on {self.name!r} timed out after {timeout}s"
+                ) from None
+            except OSError as exc:
+                raise FleetProtocolError(
+                    f"transport {self.name!r} failed to receive: {exc}"
+                ) from exc
+            if not chunk:
+                if self._buffer:
+                    raise FleetProtocolError(
+                        f"torn frame on transport {self.name!r}: the stream "
+                        f"ended {len(self._buffer)} bytes into a frame")
+                return None
+            self._buffer += chunk
+        self._stats["wire_bytes_in"] += _HEADER.size + len(frame)
         try:
-            frame = read_frame(self._reader)
-        except socket.timeout:
-            # Mid-frame bytes may be stranded in the buffered reader: the
-            # stream is desynced for good (see the class docstring), so this
-            # is deliberately fatal, not a retry hint.
-            raise FleetProtocolError(
-                f"socket receive on {self.name!r} timed out after {timeout}s; "
-                "the frame stream is now desynced — abandon this transport"
-            ) from None
-        except CodecError as exc:
-            raise FleetProtocolError(
-                f"torn frame on transport {self.name!r}: {exc}"
-            ) from exc
-        except OSError as exc:
-            raise FleetProtocolError(
-                f"transport {self.name!r} failed to receive: {exc}"
-            ) from exc
-        if frame is None:
-            return None
-        self._stats["wire_bytes_in"] += 4 + len(frame)
-        try:
-            return Envelope.from_dict(self.codec.decode(frame))
-        except CodecError as exc:
+            return Envelope.from_dict(json.loads(frame.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FleetProtocolError(
                 f"undecodable frame on transport {self.name!r}: {exc}"
             ) from exc
@@ -234,8 +251,7 @@ class MultiprocessTransport(Transport):
         return self._sock.fileno()
 
     def close(self) -> None:
-        for closer in (self._writer.close, self._reader.close, self._sock.close):
-            try:
-                closer()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - best-effort teardown
+            pass

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.baselines.centralized import CentralizedSharingBaseline
 from repro.baselines.full_record import FullRecordSharingBaseline
 from repro.baselines.onchain_storage import OnChainStorageBaseline
-from repro.errors import UpdateRejected
 from repro.workloads.generator import MedicalRecordGenerator
 
 
@@ -69,45 +67,3 @@ class TestOnChainStorage:
         assert baseline.block_count() >= 1
         payloads = [tx.payload for tx in baseline.chain.transactions()]
         assert any("update" in payload for payload in payloads)
-
-
-class TestCentralizedBaseline:
-    @pytest.fixture
-    def server(self, patient_table):
-        server = CentralizedSharingBaseline()
-        server.host_table(patient_table)
-        server.grant("D1", "patient", can_read=True, writable_columns=("clinical_data",))
-        server.grant("D1", "doctor", can_read=True,
-                     writable_columns=("dosage", "clinical_data", "medication_name"))
-        return server
-
-    def test_read_requires_grant(self, server):
-        assert len(server.read("patient", "D1")) == 1
-        with pytest.raises(UpdateRejected):
-            server.read("insurer", "D1")
-
-    def test_update_respects_column_permissions(self, server):
-        server.update("doctor", "D1", (188,), {"dosage": "new"})
-        with pytest.raises(UpdateRejected):
-            server.update("patient", "D1", (188,), {"dosage": "blocked"})
-
-    def test_unavailable_server_blocks_everything(self, server):
-        server.set_available(False)
-        with pytest.raises(ConnectionError):
-            server.read("doctor", "D1")
-        with pytest.raises(ConnectionError):
-            server.update("doctor", "D1", (188,), {"dosage": "x"})
-
-    def test_latency_and_operation_count(self, server):
-        before = server.clock.now()
-        server.read("doctor", "D1")
-        server.read("patient", "D1")
-        assert server.operations_served == 2
-        assert server.clock.now() > before
-
-    def test_storage_bytes(self, server):
-        assert server.storage_bytes() > 0
-
-    def test_unknown_table_grant(self, server):
-        with pytest.raises(KeyError):
-            server.grant("MISSING", "doctor")

@@ -5,7 +5,7 @@ import pytest
 from repro.contracts.base import Contract
 from repro.contracts.runtime import ContractRuntime, contract_address_for
 from repro.crypto.keys import generate_keypair
-from repro.errors import ContractError, ContractNotFoundError
+from repro.errors import ContractError, ContractNotFoundError, ContractRevert
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction
 
@@ -26,6 +26,12 @@ class Counter(Contract):
         self.history.append((self.ctx.caller, by))
         self.emit("Incremented", by=by, value=self.value)
         return self.value
+
+    def increment_then_fail(self, by: int = 1):
+        """Mutate storage in place, then revert."""
+        self.value += by
+        self.history.append((self.ctx.caller, by))
+        self.require(False, "reverted after mutating storage")
 
     def current(self):
         return self.value
@@ -107,6 +113,18 @@ class TestCall:
         assert state.contract_at(address).value == 2
         assert receipt.events == ()
 
+    def test_revert_undoes_in_place_mutation(self, runtime, state):
+        """A revert must undo mutations made inside shared containers too,
+        not only rebinding of top-level attributes."""
+        address = _deploy(runtime, state).contract_address
+        _call(runtime, state, address, "increment", by=2)
+        receipt = _call(runtime, state, address, "increment_then_fail", nonce=2, by=5)
+        assert not receipt.success
+        assert "reverted after mutating" in receipt.error
+        contract = state.contract_at(address)
+        assert contract.value == 2
+        assert contract.history == [(KEY.address, 2)]
+
     def test_call_missing_contract(self, runtime, state):
         receipt = _call(runtime, state, "0xc" + "9" * 39, "increment")
         assert not receipt.success
@@ -150,6 +168,16 @@ class TestStaticCall:
         address = _deploy(runtime, state).contract_address
         runtime.static_call(state, address, "increment", by=5)
         assert state.contract_at(address).value == 0
+
+    def test_static_call_undoes_in_place_mutation(self, runtime, state):
+        address = _deploy(runtime, state).contract_address
+        _call(runtime, state, address, "increment", by=2)
+        assert runtime.static_call(state, address, "increment", by=5) == 7
+        with pytest.raises(ContractRevert, match="reverted after mutating"):
+            runtime.static_call(state, address, "increment_then_fail", by=5)
+        contract = state.contract_at(address)
+        assert contract.value == 2
+        assert contract.history == [(KEY.address, 2)]
 
     def test_static_call_unknown_contract(self, runtime, state):
         with pytest.raises(ContractNotFoundError):

@@ -132,6 +132,32 @@ class TestJsonlBackend:
         entries, _ = backend.read_entries()
         assert [e.sequence for e in entries] == list(range(1, 21))
 
+    def test_rotated_segments_survive_reopen(self, tmp_path):
+        backend = JsonlWalBackend(tmp_path, segment_max_bytes=200)
+        for i in range(1, 21):
+            backend.append(_entry(i))
+        assert backend.rotations > 0
+        backend.close()
+        reopened = JsonlWalBackend(tmp_path)
+        entries, torn = reopened.read_entries()
+        assert torn == 0
+        assert [e.sequence for e in entries] == list(range(1, 21))
+
+    def test_read_since_across_rotated_segments(self, tmp_path):
+        backend = JsonlWalBackend(tmp_path, segment_max_bytes=200)
+        for i in range(1, 21):
+            backend.append(_entry(i))
+        assert len(backend.segment_paths()) > 1
+        entries, _ = backend.read_entries(since=15)
+        assert [e.sequence for e in entries] == [16, 17, 18, 19, 20]
+
+    def test_directory_with_binary_segments_is_refused(self, tmp_path):
+        """Binary ``.walb`` segments from an older release must never read
+        as an empty JSONL log."""
+        (tmp_path / "wal-0000000000000001.walb").write_bytes(b"\x00\x00\x00\x02{}")
+        with pytest.raises(WalCorruptionError, match="binary segments"):
+            JsonlWalBackend(tmp_path)
+
     def test_reopen_continues_appending(self, tmp_path):
         backend = JsonlWalBackend(tmp_path)
         backend.append(_entry(1))
@@ -154,6 +180,22 @@ class TestJsonlBackend:
         entries, torn = reopened.read_entries()
         assert torn == 0  # amputated at open, nothing left to tolerate
         assert [e.sequence for e in entries] == [1, 2, 3]
+
+    def test_segment_holding_only_a_torn_line_is_emptied(self, tmp_path):
+        backend = JsonlWalBackend(tmp_path, segment_max_bytes=1)
+        backend.append(_entry(1))
+        backend.append(_entry(2))  # rotates: entry 2 opens its own segment
+        backend.close()
+        segment = backend.segment_paths()[-1]
+        with open(segment, "r+b") as handle:
+            handle.truncate(10)  # the segment's only line, torn mid-write
+        reopened = JsonlWalBackend(tmp_path)
+        assert reopened.torn_lines_repaired == 1
+        assert segment.stat().st_size == 0
+        reopened.append(_entry(2))
+        entries, torn = reopened.read_entries()
+        assert torn == 0
+        assert [e.sequence for e in entries] == [1, 2]
 
     def test_append_after_torn_tail_survives_reopen(self, tmp_path):
         """A restarted writer must not concatenate onto a torn partial line:
@@ -219,6 +261,15 @@ class TestJsonlBackend:
         entries, _ = backend.read_entries(since=3)
         assert entries[0].sequence >= 4
         assert [e.sequence for e in entries][-1] == 10
+
+    def test_truncated_log_covers_its_checkpoint(self, tmp_path):
+        backend = JsonlWalBackend(tmp_path, segment_max_bytes=200)
+        for i in range(1, 21):
+            backend.append(_entry(i))
+        assert backend.truncate(10) >= 1
+        entries, _ = backend.read_entries(since=10)
+        assert [e.sequence for e in entries] == list(range(11, 21))
+        assert backend.covers(10)
 
     def test_fsync_policy_validated(self, tmp_path):
         with pytest.raises(ValueError):
