@@ -237,11 +237,10 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
     to prove loopback placement is byte-identical to this single-process
     run.
     """
-    import asyncio
     import dataclasses
 
     from repro.config import DurabilityConfig, ReplicationConfig
-    from repro.gateway import AsyncSharingGateway, SharingGateway
+    from repro.gateway import SharingGateway
     from repro.obs import Tracer, TraceAnalyzer, write_trace_jsonl
     from repro.workloads.topology import TopologySpec, build_topology_system
     from repro.workloads.traffic import (TrafficGenerator, default_tenant_profiles,
@@ -298,6 +297,11 @@ def run_gateway_loadtest(tenants: int = 8, duration: float = 30.0, rate: float =
     start = clock.now()
     async_stats: Optional[Dict[str, Any]] = None
     if transport == "async":
+        # Imported here so sync runs (and forked fleet workers) never load asyncio.
+        import asyncio
+
+        from repro.gateway import AsyncSharingGateway
+
         async def drive() -> Dict[str, Any]:
             async with AsyncSharingGateway(gateway, seal_depth=batch_size,
                                            max_delay=max_delay) as front:

@@ -9,6 +9,8 @@ further operations are accepted.
 
 * :mod:`repro.contracts.base` — the contract programming model
   (require/revert, events, storage snapshots).
+* :mod:`repro.contracts.storage` — journaled storage types and the undo
+  journal that rolls a failed call back write by write.
 * :mod:`repro.contracts.runtime` — deterministic execution of deploy/call
   transactions; plugs into the ledger as its transaction executor.
 * :mod:`repro.contracts.sharing_contract` — the metadata-collection contract

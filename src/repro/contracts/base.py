@@ -8,7 +8,9 @@ root check in tests verifies.
 A contract method can:
 
 * read ``self.ctx`` — the caller address, block number and block timestamp;
-* mutate its own attributes (its "storage");
+* mutate its own attributes (its "storage"), which may hold only the
+  journaled value types of :mod:`repro.contracts.storage`, so a reverted
+  call can be rolled back write by write;
 * call :meth:`Contract.require` to revert with a reason;
 * call :meth:`Contract.emit` to produce an event delivered to subscribers.
 """
@@ -19,7 +21,18 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.contracts.storage import JournaledRecord, storable
 from repro.errors import ContractRevert, PermissionDenied
+
+#: Per-call attributes: not storage, so neither journaled nor hashed.
+CALL_STATE = frozenset({"_ctx", "_pending_events"})
+
+#: Public :class:`Contract` methods that serve the runtime and contract
+#: authors; no transaction may call them.
+NON_ABI_METHODS = frozenset({
+    "abi", "require", "require_permission", "emit",
+    "storage_view", "storage_snapshot", "restore_storage",
+})
 
 
 @dataclass(frozen=True)
@@ -44,7 +57,7 @@ class ContractEvent:
         return {"contract": self.contract, "name": self.name, "data": dict(self.data)}
 
 
-class Contract:
+class Contract(JournaledRecord):
     """Base class for deployable contracts."""
 
     def __init__(self) -> None:
@@ -60,6 +73,12 @@ class Contract:
             raise ContractRevert("contract accessed its context outside of a call")
         return self._ctx
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in CALL_STATE:
+            object.__setattr__(self, name, value)
+        else:
+            super().__setattr__(name, value)
+
     def _begin_call(self, ctx: CallContext) -> None:
         self._ctx = ctx
         self._pending_events = []
@@ -70,22 +89,25 @@ class Contract:
         self._pending_events = []
         return events
 
+    def storage_view(self) -> Dict[str, Any]:
+        """The live contract storage (everything except call state), uncopied."""
+        return {key: value for key, value in self.__dict__.items() if key not in CALL_STATE}
+
     def storage_snapshot(self) -> Dict[str, Any]:
-        """A deep copy of the contract storage (everything except call state)."""
-        storage = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key not in ("_ctx", "_pending_events")
-        }
-        return copy.deepcopy(storage)
+        """A deep copy of the contract storage.
+
+        Calls roll back through the undo journal instead; the deep copy
+        stays as the simple version the journal is tested against.
+        """
+        return copy.deepcopy(self.storage_view())
 
     def restore_storage(self, snapshot: Mapping[str, Any]) -> None:
-        """Restore storage from a snapshot (used to roll back reverted calls)."""
+        """Replace the storage with a deep copy of ``snapshot``."""
         for key in list(self.__dict__.keys()):
-            if key not in ("_ctx", "_pending_events"):
+            if key not in CALL_STATE:
                 del self.__dict__[key]
         for key, value in copy.deepcopy(dict(snapshot)).items():
-            self.__dict__[key] = value
+            self.__dict__[key] = storable(value)
 
     # -- helpers for contract authors ------------------------------------------
 
@@ -100,9 +122,14 @@ class Contract:
             raise PermissionDenied(message)
 
     def emit(self, name: str, **data: Any) -> None:
-        """Emit an event from the current call."""
+        """Emit an event from the current call.
+
+        The data is deep-copied: an event must not alias storage that a later
+        call may change.
+        """
         self._pending_events.append(
-            ContractEvent(contract=self.ctx.contract_address, name=name, data=dict(data))
+            ContractEvent(contract=self.ctx.contract_address, name=name,
+                          data=copy.deepcopy(data))
         )
 
     # -- reflection -------------------------------------------------------------
@@ -115,9 +142,6 @@ class Contract:
             if name.startswith("_"):
                 continue
             attribute = getattr(cls, name)
-            if callable(attribute) and name not in (
-                "abi", "require", "require_permission", "emit",
-                "storage_snapshot", "restore_storage",
-            ):
+            if callable(attribute) and name not in NON_ABI_METHODS:
                 methods.append(name)
         return tuple(sorted(methods))

@@ -18,7 +18,8 @@ from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.crypto.hashing import hash_payload
 from repro.errors import ContractError, ContractNotFoundError, ContractRevert
-from repro.contracts.base import CallContext, Contract
+from repro.contracts.base import NON_ABI_METHODS, CallContext, Contract
+from repro.contracts.storage import UndoJournal
 from repro.ledger.chain import TransactionExecutor
 from repro.ledger.gas import GasSchedule
 from repro.ledger.state import WorldState
@@ -58,10 +59,10 @@ class ContractRuntime(TransactionExecutor):
     def execute(self, tx: Transaction, state: WorldState, block_number: int,
                 timestamp: float) -> TransactionReceipt:
         # Contract execution mutates shared replica state (and even reverted
-        # or read-only calls snapshot/restore storage), so every execution on
-        # one world state is serialised with that state's other executions
-        # and static calls — an admission-time permission probe must never
-        # observe a contract mid-restore.
+        # or read-only calls write storage before rolling it back), so every
+        # execution on one world state is serialised with that state's other
+        # executions and static calls — an admission-time permission probe
+        # must never observe a contract mid-rollback.
         with state.execution_lock:
             gas = self.gas_schedule.intrinsic_gas(tx)
             if tx.kind == "deploy":
@@ -113,13 +114,13 @@ class ContractRuntime(TransactionExecutor):
             )
         method_name = tx.method or ""
         method = getattr(contract, method_name, None)
-        if method is None or method_name.startswith("_") or not callable(method):
+        if (method is None or method_name.startswith("_") or not callable(method)
+                or method_name in NON_ABI_METHODS):
             self._revert_count += 1
             return TransactionReceipt(
                 tx_hash=tx.tx_hash, block_number=block_number, success=False, gas_used=gas,
                 error=f"contract has no method {method_name!r}",
             )
-        snapshot = contract.storage_snapshot()
         context = CallContext(
             caller=tx.sender,
             block_number=block_number,
@@ -128,9 +129,11 @@ class ContractRuntime(TransactionExecutor):
         )
         contract._begin_call(context)
         try:
-            return_value = method(**tx.args)
+            # Leaving the journal on an exception undoes every storage write
+            # the call made.
+            with UndoJournal():
+                return_value = method(**tx.args)
         except ContractRevert as exc:
-            contract.restore_storage(snapshot)
             contract._end_call()  # reverted calls emit no events
             self._revert_count += 1
             return TransactionReceipt(
@@ -138,7 +141,6 @@ class ContractRuntime(TransactionExecutor):
                 error=str(exc), contract_address=tx.contract, events=(),
             )
         except Exception as exc:  # non-revert failure is a bug in the contract
-            contract.restore_storage(snapshot)
             contract._end_call()
             self._revert_count += 1
             raise ContractError(
@@ -168,11 +170,10 @@ class ContractRuntime(TransactionExecutor):
             bound = getattr(contract, method, None)
             if bound is None or not callable(bound):
                 raise ContractError(f"contract has no method {method!r}")
-            snapshot = contract.storage_snapshot()
             contract._begin_call(CallContext(caller=caller, block_number=-1, timestamp=0.0,
                                              contract_address=contract_address))
             try:
-                return bound(**args)
+                with UndoJournal(always_revert=True):
+                    return bound(**args)
             finally:
                 contract._end_call()
-                contract.restore_storage(snapshot)

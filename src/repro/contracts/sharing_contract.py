@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.contracts.base import Contract
+from repro.contracts.storage import JournaledRecord
 from repro.crypto.keys import address_from_public_key
 from repro.crypto.signatures import Signature, verify
 
@@ -47,7 +48,7 @@ def fold_attestation_payload(metadata_id: str, diff_hash: str,
 
 
 @dataclass
-class UpdateRecord:
+class UpdateRecord(JournaledRecord):
     """One accepted operation on a shared table (kept on-chain for audit).
 
     ``contributions`` is non-empty only for *folded* updates: several sharing
@@ -86,7 +87,7 @@ class UpdateRecord:
 
 
 @dataclass
-class MetadataEntry:
+class MetadataEntry(JournaledRecord):
     """One row of the Fig. 3 metadata collection table."""
 
     metadata_id: str
@@ -414,8 +415,11 @@ class SharedDataContract(Contract):
             self.ctx.caller in entry.sharing_peers,
             f"caller {self.ctx.caller} is not a sharing peer of {metadata_id!r}",
         )
-        record = next((r for r in self.history if r.update_id == update_id), None)
-        self.require(record is not None, f"unknown update id {update_id}")
+        # Update ids are handed out 1, 2, 3, ... as records are appended.
+        index = update_id - 1 if isinstance(update_id, int) else -1
+        record = self.history[index] if 0 <= index < len(self.history) else None
+        self.require(record is not None and record.update_id == update_id,
+                     f"unknown update id {update_id}")
         self.require(record.metadata_id == metadata_id,
                      f"update {update_id} does not belong to {metadata_id!r}")
         if self.ctx.caller in entry.pending_acks:

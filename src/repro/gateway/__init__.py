@@ -16,12 +16,13 @@ so many tenants can read and write shared data concurrently:
 * :mod:`repro.gateway.worker` — a thread pool draining the write queue;
 * :mod:`repro.gateway.aio` — the asyncio transport: awaitable responses and
   a commit pump sealing batches on queue-depth/deadline triggers, so
-  open-loop arrivals interleave with in-flight consensus rounds;
+  open-loop arrivals interleave with in-flight consensus rounds (imported on
+  first use of ``AsyncSharingGateway``, so the synchronous gateway never
+  loads asyncio);
 * :mod:`repro.gateway.gateway` — the facade wiring it all together.
 """
 
 from repro.gateway.admission import LatencyShedder, fair_share_exceeded
-from repro.gateway.aio import AsyncSharingGateway
 from repro.gateway.cache import ViewCache
 from repro.gateway.gateway import ResponseJournal, SharingGateway
 from repro.gateway.requests import (
@@ -43,6 +44,15 @@ from repro.gateway.requests import (
 from repro.gateway.scheduler import BatchPlan, PendingWrite, WriteScheduler
 from repro.gateway.session import GatewaySession, TokenBucket
 from repro.gateway.worker import GatewayWorkerPool
+
+
+def __getattr__(name: str):
+    if name == "AsyncSharingGateway":
+        from repro.gateway.aio import AsyncSharingGateway
+
+        return AsyncSharingGateway
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsyncSharingGateway",

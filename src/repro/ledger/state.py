@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.crypto.hashing import hash_payload
+from repro.crypto.hashing import canonical_json, hash_payload
 
 
 @dataclass
@@ -40,7 +40,7 @@ class WorldState:
         self._accounts: Dict[str, Account] = {}
         self._contracts: Dict[str, Any] = {}
         #: Serialises contract execution (including read-only static calls,
-        #: which snapshot-and-restore storage) and state-root hashing on this
+        #: which write storage and roll it back) and state-root hashing on this
         #: replica.  The gateway admits requests while a commit mines, so a
         #: session's permission probe can hit a node whose replica is
         #: applying a block on another thread; each call is microseconds, so
@@ -90,30 +90,23 @@ class WorldState:
 
     # ------------------------------------------------------------------- root
 
+    def _payload(self) -> dict:
+        # Live contract storage, uncopied: callers hold the execution lock, so
+        # no call is half-way through writing it.
+        return {
+            "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
+            "contracts": {
+                address: contract.storage_view() if hasattr(contract, "storage_view") else {}
+                for address, contract in self._contracts.items()
+            },
+        }
+
     def state_root(self) -> str:
         """A hash committing to accounts and contract storage."""
         with self.execution_lock:
-            contracts = {}
-            for address, contract in self._contracts.items():
-                snapshot = contract.storage_snapshot() if hasattr(contract, "storage_snapshot") else {}
-                contracts[address] = snapshot
-            payload = {
-                "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
-                "contracts": contracts,
-            }
-            return hash_payload(payload)
+            return hash_payload(self._payload())
 
     def storage_bytes(self) -> int:
         """Approximate serialised size of the state (per-node storage pressure)."""
-        from repro.crypto.hashing import canonical_json
-
         with self.execution_lock:
-            contracts = {}
-            for address, contract in self._contracts.items():
-                snapshot = contract.storage_snapshot() if hasattr(contract, "storage_snapshot") else {}
-                contracts[address] = snapshot
-            payload = {
-                "accounts": {a: acct.to_dict() for a, acct in self._accounts.items()},
-                "contracts": contracts,
-            }
-            return len(canonical_json(payload).encode("utf-8"))
+            return len(canonical_json(self._payload()).encode("utf-8"))

@@ -8,6 +8,7 @@ block is applied.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -63,6 +64,15 @@ def _deep_freeze(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return frozenset(value)
     return value
+
+
+#: How many successful signature checks :meth:`Transaction.verify_signature`
+#: remembers; the oldest is forgotten first.
+VERIFIED_CACHE_SIZE = 4096
+
+#: ``(tx_hash, sender_public_key)`` of recent successful checks, oldest first.
+_verified: Dict[Tuple[str, int], None] = {}
+_verified_lock = threading.Lock()
 
 
 @dataclass
@@ -188,14 +198,30 @@ class Transaction:
         )
 
     def verify_signature(self) -> bool:
-        """True when the transaction carries a valid signature of its sender."""
+        """True when the transaction carries a valid signature of its sender.
+
+        A successful check is remembered process-wide (see
+        :data:`VERIFIED_CACHE_SIZE`), so the mempool admission and block
+        validation of every simulated node verify each transaction once.
+        """
         if self.signature is None or self.sender_public_key is None:
             return False
         from repro.crypto.keys import address_from_public_key
 
         if address_from_public_key(self.sender_public_key) != self.sender:
             return False
-        return verify(self.sender_public_key, self.signing_payload(), self.signature)
+        # The hash covers the signed payload and the signature but not the
+        # key, so the key is part of the cache key.
+        key = (self.tx_hash, self.sender_public_key)
+        if key in _verified:
+            return True
+        if not verify(self.sender_public_key, self.signing_payload(), self.signature):
+            return False  # failures are never cached
+        with _verified_lock:
+            _verified[key] = None
+            if len(_verified) > VERIFIED_CACHE_SIZE:
+                del _verified[next(iter(_verified))]
+        return True
 
     # ------------------------------------------------------------- serialisation
 

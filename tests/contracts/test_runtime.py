@@ -141,6 +141,18 @@ class TestCall:
         receipt = _call(runtime, state, address, "_begin_call")
         assert not receipt.success
 
+    @pytest.mark.parametrize("method, args", [
+        ("restore_storage", {"snapshot": {"value": 0, "history": []}}),
+        ("storage_view", {}),
+        ("storage_snapshot", {}),
+        ("emit", {"name": "Forged"}),
+    ])
+    def test_runtime_helpers_not_callable(self, runtime, state, method, args):
+        address = _deploy(runtime, state, {"start": 5}).contract_address
+        receipt = _call(runtime, state, address, method, **args)
+        assert not receipt.success and "no method" in receipt.error
+        assert state.contract_at(address).value == 5
+
     def test_non_revert_exception_surfaces_as_contract_error(self, runtime, state):
         address = _deploy(runtime, state).contract_address
         with pytest.raises(ContractError):

@@ -172,6 +172,43 @@ class TestUpdateRequests:
             call(contract, DOCTOR, "acknowledge_update", metadata_id="D13&D31",
                  update_id=record["update_id"])
 
+    def test_acknowledge_out_of_range_ids_rejected(self, contract):
+        record, _ = call(contract, RESEARCHER, "request_update", metadata_id="D23&D32",
+                         changed_attributes=["mechanism_of_action"], diff_hash="h1")
+        for update_id in (0, -1, 2, "1", None):
+            with pytest.raises(ContractRevert, match="unknown update id"):
+                call(contract, DOCTOR, "acknowledge_update", metadata_id="D23&D32",
+                     update_id=update_id)
+        assert contract.entries["D23&D32"].pending_acks == [DOCTOR]
+
+    def test_acknowledge_rejects_id_of_another_table(self, contract):
+        first, _ = call(contract, RESEARCHER, "request_update", metadata_id="D23&D32",
+                        changed_attributes=["mechanism_of_action"], diff_hash="h1")
+        second, _ = call(contract, DOCTOR, "request_update", metadata_id="D13&D31",
+                         changed_attributes=["dosage"], diff_hash="h2")
+        with pytest.raises(ContractRevert, match="does not belong"):
+            call(contract, DOCTOR, "acknowledge_update", metadata_id="D23&D32",
+                 update_id=second["update_id"])
+        with pytest.raises(ContractRevert, match="does not belong"):
+            call(contract, PATIENT, "acknowledge_update", metadata_id="D13&D31",
+                 update_id=first["update_id"])
+        call(contract, PATIENT, "acknowledge_update", metadata_id="D13&D31",
+             update_id=second["update_id"])
+        assert contract.history[1].acknowledged_by == [PATIENT]
+
+    def test_emitted_event_does_not_alias_storage(self, contract):
+        record, events = call(contract, RESEARCHER, "request_update", metadata_id="D23&D32",
+                              changed_attributes=["mechanism_of_action"], diff_hash="h1")
+        changed = [e for e in events if e.name == "SharedDataChanged"][0]
+        call(contract, DOCTOR, "acknowledge_update", metadata_id="D23&D32",
+             update_id=record["update_id"], timestamp=2.0)
+        # A committed event keeps what it announced after a later ack ...
+        assert changed.data["notify_peers"] == [DOCTOR]
+        assert changed.to_dict()["data"]["notify_peers"] == [DOCTOR]
+        # ... and changing the event never reaches storage.
+        changed.data["notify_peers"].append(OUTSIDER)
+        assert contract.entries["D23&D32"].pending_acks == []
+
     def test_rejected_request_leaves_no_trace(self, contract):
         with pytest.raises(PermissionDenied):
             call(contract, DOCTOR, "request_update", metadata_id="D23&D32",
